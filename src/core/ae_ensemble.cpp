@@ -1,6 +1,7 @@
 #include "core/ae_ensemble.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
@@ -36,24 +37,59 @@ double AeEnsemble::reconstruction_error(std::size_t u, std::span<const double> x
   return aes_.at(u)->reconstruction_error(x);
 }
 
+namespace {
+
+// Rows per scoring task: each member scores a block in one batched call.
+constexpr std::size_t kBlockRows = ml::Autoencoder::kScoreRows;
+
+// fn(first, n) over consecutive row blocks of a `rows`-row matrix: inline at
+// one thread (so the forest's per-tree and per-leaf tasks never nest a
+// pool), else on a pool.
+template <class Fn>
+void for_row_blocks(std::size_t rows, std::size_t num_threads, Fn&& fn) {
+  const std::size_t blocks = (rows + kBlockRows - 1) / kBlockRows;
+  auto task = [&](std::size_t b) {
+    const std::size_t first = b * kBlockRows;
+    fn(first, std::min(kBlockRows, rows - first));
+  };
+  const std::size_t threads = ml::resolve_threads(num_threads);
+  if (threads == 1 || blocks <= 1) {
+    for (std::size_t b = 0; b < blocks; ++b) task(b);
+    return;
+  }
+  ml::ThreadPool pool(threads);
+  pool.parallel_for(blocks, task);
+}
+
+}  // namespace
+
 ml::Matrix AeEnsemble::reconstruction_errors(const ml::Matrix& x,
                                              std::size_t num_threads) const {
   ml::Matrix out(x.rows(), aes_.size());
-  ml::ThreadPool pool(ml::resolve_threads(num_threads));
-  pool.parallel_for(x.rows(), [&](std::size_t i) {
-    auto row = out.row(i);
+  for_row_blocks(x.rows(), num_threads, [&](std::size_t first, std::size_t n) {
+    std::array<double, kBlockRows> e{};
     for (std::size_t u = 0; u < aes_.size(); ++u) {
-      row[u] = aes_[u]->reconstruction_error(x.row(i));
+      aes_[u]->reconstruction_errors(x, first, {e.data(), n});
+      for (std::size_t i = 0; i < n; ++i) out(first + i, u) = e[i];
     }
   });
   return out;
 }
 
+// The weighted vote of predict(), member by member over a block of rows.
 std::vector<int> AeEnsemble::predict_batch(const ml::Matrix& x,
                                            std::size_t num_threads) const {
   std::vector<int> out(x.rows(), 0);
-  ml::ThreadPool pool(ml::resolve_threads(num_threads));
-  pool.parallel_for(x.rows(), [&](std::size_t i) { out[i] = predict(x.row(i)); });
+  for_row_blocks(x.rows(), num_threads, [&](std::size_t first, std::size_t n) {
+    std::array<double, kBlockRows> e{}, vote{};
+    for (std::size_t u = 0; u < aes_.size(); ++u) {
+      aes_[u]->reconstruction_errors(x, first, {e.data(), n});
+      for (std::size_t i = 0; i < n; ++i) {
+        if (e[i] > thresholds_[u]) vote[i] += weights_[u];
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) out[first + i] = vote[i] > 0.5 ? 1 : 0;
+  });
   return out;
 }
 

@@ -39,13 +39,15 @@ class AeEnsemble {
   /// RE_u(x): reconstruction RMSE of member u.
   double reconstruction_error(std::size_t u, std::span<const double> x) const;
 
-  /// Batched scoring: row i of the result holds {RE_0(x_i), ..., RE_{r-1}(x_i)}.
-  /// Rows are scored in parallel (num_threads = 0 → hardware concurrency);
-  /// the output is identical at every thread count.
+  /// Batched scoring: row i of the result holds {RE_0(x_i), ..., RE_{r-1}(x_i)},
+  /// bit-identical to reconstruction_error(). Blocks of rows are scored in
+  /// parallel (num_threads = 0 → hardware concurrency); at one thread no
+  /// pool is created, so pool tasks may call this. The output is identical
+  /// at every thread count.
   ml::Matrix reconstruction_errors(const ml::Matrix& x, std::size_t num_threads = 1) const;
 
   /// Batched ensemble predictions over every row of x (1 = malicious),
-  /// scored in parallel like reconstruction_errors().
+  /// equal to predict() and scored like reconstruction_errors().
   std::vector<int> predict_batch(const ml::Matrix& x, std::size_t num_threads = 1) const;
   /// T_u (already scaled by threshold_scale).
   double member_threshold(std::size_t u) const { return thresholds_[u]; }

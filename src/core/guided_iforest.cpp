@@ -83,12 +83,9 @@ int build_node(BuildContext& ctx, std::vector<GuidedNode>& nodes,
   for (std::size_t r : rows) decision.push_row(ctx.train.row(r));
   augment_box(box, ctx.cfg.augment, ctx.rng, decision);
   const std::size_t n = decision.rows();
-  std::vector<int> lab(n);
+  const std::vector<int> lab = ctx.teacher.predict_batch(decision);
   std::size_t mal = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    lab[i] = ctx.teacher.predict(decision.row(i));
-    mal += static_cast<std::size_t>(lab[i]);
-  }
+  for (int l : lab) mal += static_cast<std::size_t>(l);
   const std::size_t ben = n - mal;
 
   // Stopping criterion 3: the node is already heavily skewed to one class.
@@ -262,9 +259,10 @@ void GuidedIsolationForest::fit(const ml::Matrix& train, const AeEnsemble& teach
                        aux[t].cell_boxes);
   });
 
-  // … then one scoring task per (tree, leaf): this AE-inference loop over
-  // X_leaf U X_aug dominates fit() wall time. Each task writes only its own
-  // leaf node and reads only const state, so no synchronisation is needed.
+  // … then one scoring task per (tree, leaf): batched AE inference over
+  // X_leaf U X_aug, a large share of fit() wall time. Each task writes only
+  // its own leaf node and reads only const state, so no synchronisation is
+  // needed.
   struct LeafTask {
     std::uint32_t tree, node;
   };
@@ -304,11 +302,10 @@ void GuidedIsolationForest::fit(const ml::Matrix& train, const AeEnsemble& teach
     const Box box = leaf_rows.size() > 1 ? data_box(train, leaf_rows) : finite_cell();
     augment_box(box, cfg_.augment, leaf_rng, pts);
 
+    const ml::Matrix re = teacher.reconstruction_errors(pts);
     node.leaf_re.assign(r, 0.0);
     for (std::size_t i = 0; i < pts.rows(); ++i) {
-      for (std::size_t u = 0; u < r; ++u) {
-        node.leaf_re[u] += teacher.reconstruction_error(u, pts.row(i));
-      }
+      for (std::size_t u = 0; u < r; ++u) node.leaf_re[u] += re(i, u);
     }
     for (auto& v : node.leaf_re) v /= static_cast<double>(pts.rows());
     node.label = teacher.vote_from_errors(node.leaf_re);

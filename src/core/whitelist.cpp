@@ -26,7 +26,7 @@ struct Sweep {
 
   std::size_t regions_total = 0;
   std::size_t regions_benign = 0;
-  std::vector<rules::RangeRule> benign;
+  std::vector<rules::RangeRule> benign{};
 
   void emit(const std::vector<rules::FieldRange>& box, int label) {
     ++regions_total;
@@ -377,14 +377,17 @@ WhitelistResult compile_pathlength(const ml::IsolationForest& forest,
   }
   const double t_count = static_cast<double>(qtrees.size());
 
-  Sweep sweep{qtrees, q.domain_max(), cfg.max_regions, cfg.max_steps, {}, {}};
-  sweep.decide = [t_count](double acc, std::size_t done) -> int {
-    if (2.0 * acc > t_count) return 1;
-    const double remaining = t_count - static_cast<double>(done);
-    if (2.0 * (acc + remaining) <= t_count) return 0;
-    return -1;
-  };
-  sweep.finalize = [t_count](double acc) { return 2.0 * acc > t_count ? 1 : 0; };
+  Sweep sweep{.trees = qtrees,
+              .domain_max = q.domain_max(),
+              .max_regions = cfg.max_regions,
+              .max_steps = cfg.max_steps,
+              .decide = [t_count](double acc, std::size_t done) -> int {
+                if (2.0 * acc > t_count) return 1;
+                const double remaining = t_count - static_cast<double>(done);
+                if (2.0 * (acc + remaining) <= t_count) return 0;
+                return -1;
+              },
+              .finalize = [t_count](double acc) { return 2.0 * acc > t_count ? 1 : 0; }};
   return run_sweep(sweep, q.field_count(), cfg);
 }
 

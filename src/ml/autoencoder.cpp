@@ -33,9 +33,7 @@ void Autoencoder::fit(const Matrix& benign, Rng& rng) {
 
   // T_u = quantile of benign training reconstruction errors.
   std::vector<double> errors(benign.rows());
-  for (std::size_t i = 0; i < benign.rows(); ++i) {
-    errors[i] = reconstruction_error(benign.row(i));
-  }
+  reconstruction_errors(benign, 0, errors);
   std::sort(errors.begin(), errors.end());
   const double q = std::clamp(cfg_.threshold_quantile, 0.0, 1.0);
   const std::size_t k =
@@ -45,19 +43,44 @@ void Autoencoder::fit(const Matrix& benign, Rng& rng) {
 
 double Autoencoder::reconstruction_error(std::span<const double> x) const {
   if (!scaler_.fitted()) throw std::logic_error("Autoencoder: not fitted");
+  if (x.size() != net_.in_dim()) throw std::invalid_argument("Autoencoder: bad input width");
+  double re = 0.0;
+  score_rows(x.data(), 1, &re);
+  return re;
+}
+
+void Autoencoder::reconstruction_errors(const Matrix& x, std::size_t first,
+                                        std::span<double> out) const {
+  if (!scaler_.fitted()) throw std::logic_error("Autoencoder: not fitted");
+  if (x.cols() != net_.in_dim() || first + out.size() > x.rows()) {
+    throw std::invalid_argument("Autoencoder::reconstruction_errors: bad row range");
+  }
+  if (!out.empty()) score_rows(x.row(first).data(), out.size(), out.data());
+}
+
+// n contiguous rows of x, scored kScoreRows at a time.
+void Autoencoder::score_rows(const double* x, std::size_t n, double* out) const {
   // Thread-local scratch: no allocation on the hot path, no shared mutable
   // state — the distillation and batch-scoring loops call this from many
   // threads on one const autoencoder.
-  thread_local std::vector<double> scaled, out, scratch;
-  scaled.resize(x.size());
-  scaler_.transform_row(x, scaled);
-  net_.forward_const(scaled, out, scratch);
-  double s = 0.0;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const double d = out[i] - scaled[i];
-    s += d * d;
+  thread_local std::vector<double> scaled, recon, scratch;
+  const std::size_t m = net_.in_dim();
+  for (std::size_t first = 0; first < n; first += kScoreRows) {
+    const std::size_t rows = std::min(kScoreRows, n - first);
+    scaled.resize(rows * m);
+    for (std::size_t r = 0; r < rows; ++r) {
+      scaler_.transform_row({x + (first + r) * m, m}, {scaled.data() + r * m, m});
+    }
+    net_.forward_const(scaled.data(), rows, recon, scratch);
+    for (std::size_t r = 0; r < rows; ++r) {
+      double s = 0.0;
+      for (std::size_t i = 0; i < m; ++i) {
+        const double d = recon[r * m + i] - scaled[r * m + i];
+        s += d * d;
+      }
+      out[first + r] = std::sqrt(s / static_cast<double>(m));
+    }
   }
-  return std::sqrt(s / static_cast<double>(out.size()));
 }
 
 AutoencoderConfig magnifier_config(std::size_t epochs) {

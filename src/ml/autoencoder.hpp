@@ -44,11 +44,19 @@ class Autoencoder : public AnomalyDetector {
   /// safe (scratch buffers are thread-local).
   double reconstruction_error(std::span<const double> x) const;
 
+  /// reconstruction_error() of rows [first, first + out.size()) of x into
+  /// out, bit for bit, through the minibatch kernels. Single-threaded, const
+  /// and race-free; its thread-local scratch holds kScoreRows rows.
+  void reconstruction_errors(const Matrix& x, std::size_t first, std::span<double> out) const;
+  static constexpr std::size_t kScoreRows = 64;
+
   /// Final-epoch training loss (diagnostics / tests).
   double final_loss() const { return final_loss_; }
   const AutoencoderConfig& config() const { return cfg_; }
 
  private:
+  void score_rows(const double* x, std::size_t n, double* out) const;
+
   AutoencoderConfig cfg_;
   StandardScaler scaler_;
   Mlp net_;

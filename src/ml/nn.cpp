@@ -1,8 +1,11 @@
 #include "ml/nn.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
+#include <type_traits>
 
 namespace iguard::ml {
 
@@ -34,6 +37,92 @@ double activation_grad_from_output(Activation a, double y) {
   return 1.0;
 }
 
+namespace {
+
+// Calls op(A) with the activation as a compile-time constant, so that a
+// pass over many values takes the switch once and its loop body is the
+// single case, free of branches.
+template <class Op>
+void with_activation(Activation a, Op op) {
+  using enum Activation;
+  switch (a) {
+    case kLinear:
+      return op(std::integral_constant<Activation, kLinear>{});
+    case kRelu:
+      return op(std::integral_constant<Activation, kRelu>{});
+    case kSigmoid:
+      return op(std::integral_constant<Activation, kSigmoid>{});
+    case kTanh:
+      return op(std::integral_constant<Activation, kTanh>{});
+  }
+}
+
+// Two adjacent columns of c in one vector register (SSE2 on x86-64, NEON on
+// AArch64, plain scalars elsewhere). Arithmetic is lane-wise IEEE, so a lane
+// is exactly the scalar chain it replaces.
+typedef double Pair __attribute__((vector_size(16)));
+
+Pair load_pair(const double* p) {
+  Pair v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+// c[0..2P) = init + sum_{k < depth} a[k * a_k] * b[k * cols + 0..2P), with
+// init c's current value when `accumulate` is set and 0.0 otherwise: P
+// register pairs, each lane one add chain.
+template <std::size_t P>
+void product_block(const double* a, std::size_t a_k, const double* b, std::size_t cols,
+                   std::size_t depth, double* c, bool accumulate) {
+  Pair acc[P];
+  for (std::size_t p = 0; p < P; ++p) acc[p] = accumulate ? load_pair(c + 2 * p) : Pair{0.0, 0.0};
+  for (std::size_t k = 0; k < depth; ++k) {
+    const double ak = a[k * a_k];
+    const Pair a2 = {ak, ak};
+    const double* bk = b + k * cols;
+    for (std::size_t p = 0; p < P; ++p) acc[p] += a2 * load_pair(bk + 2 * p);
+  }
+  std::memcpy(c, acc, sizeof acc);
+}
+
+// The odd last column: one scalar chain.
+void product_column(const double* a, std::size_t a_k, const double* b, std::size_t cols,
+                    std::size_t depth, double* c, bool accumulate) {
+  double acc = accumulate ? *c : 0.0;
+  for (std::size_t k = 0; k < depth; ++k) acc += a[k * a_k] * b[k * cols];
+  *c = acc;
+}
+
+// The one kernel behind every dense-layer pass: for r < rows, q < cols,
+//   c[r][q] = init + sum_{k < depth} a[r * a_row + k * a_k] * b[k][q]
+// with b row-major (depth x cols) and c row-major (rows x cols). Each
+// element is the scalar `s += a * b` loop in ascending k. A row of c is
+// taken in blocks of 8, 4, 2 and 1 adjacent columns held in registers, so
+// every k step advances up to eight independent add chains whatever the
+// depth; the blocking changes throughput, never an element's own
+// operation order.
+void product(const double* a, std::size_t a_row, std::size_t a_k, const double* b,
+             std::size_t rows, std::size_t cols, std::size_t depth, double* c,
+             bool accumulate) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* ar = a + r * a_row;
+    double* cr = c + r * cols;
+    std::size_t q = 0;
+    for (; q + 8 <= cols; q += 8) product_block<4>(ar, a_k, b + q, cols, depth, cr + q, accumulate);
+    if (q + 4 <= cols) {
+      product_block<2>(ar, a_k, b + q, cols, depth, cr + q, accumulate);
+      q += 4;
+    }
+    if (q + 2 <= cols) {
+      product_block<1>(ar, a_k, b + q, cols, depth, cr + q, accumulate);
+      q += 2;
+    }
+    if (q < cols) product_column(ar, a_k, b + q, cols, depth, cr + q, accumulate);
+  }
+}
+
+}  // namespace
+
 DenseLayer::DenseLayer(std::size_t in, std::size_t out, Activation act, Rng& rng)
     : w_(out, in),
       b_(out, 0.0),
@@ -47,37 +136,48 @@ DenseLayer::DenseLayer(std::size_t in, std::size_t out, Activation act, Rng& rng
   // Glorot-uniform initialisation keeps small nets trainable at lr ~1e-3.
   const double limit = std::sqrt(6.0 / static_cast<double>(in + out));
   for (double& v : w_.flat()) v = rng.uniform(-limit, limit);
+  transpose_weights();
 }
 
-void DenseLayer::forward(std::span<const double> x, std::vector<double>& y) {
-  if (x.size() != in_dim()) throw std::invalid_argument("DenseLayer: bad input width");
-  last_x_.assign(x.begin(), x.end());
-  y.resize(out_dim());
-  for (std::size_t o = 0; o < out_dim(); ++o) {
-    y[o] = apply_activation(act_, dot(w_.row(o), x) + b_[o]);
+void DenseLayer::forward(const double* x, std::size_t n, double* y) const {
+  const std::size_t in = in_dim(), out = out_dim();
+  // y[s][o] = f(sum_i x[s][i] * w[o][i] + b[o]): dot(w_o, x_s) + b_o as the
+  // scalar layer computes it (each product is commutative bit for bit).
+  product(x, in, 1, wt_.data(), n, out, in, y, false);
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t o = 0; o < out; ++o) y[s * out + o] += b_[o];
   }
-  last_y_ = y;
+  with_activation(act_, [&](auto a) {
+    for (std::size_t k = 0; k < n * out; ++k) y[k] = apply_activation(a, y[k]);
+  });
 }
 
-void DenseLayer::forward_const(std::span<const double> x, std::vector<double>& y) const {
+void DenseLayer::forward(std::span<const double> x, std::vector<double>& y) const {
   if (x.size() != in_dim()) throw std::invalid_argument("DenseLayer: bad input width");
   y.resize(out_dim());
-  for (std::size_t o = 0; o < out_dim(); ++o) {
-    y[o] = apply_activation(act_, dot(w_.row(o), x) + b_[o]);
-  }
+  forward(x.data(), 1, y.data());
 }
 
-void DenseLayer::backward(std::span<const double> dy, std::vector<double>& dx) {
-  dx.assign(in_dim(), 0.0);
-  for (std::size_t o = 0; o < out_dim(); ++o) {
-    const double dz = dy[o] * activation_grad_from_output(act_, last_y_[o]);
-    gb_[o] += dz;
-    auto gw_row = gw_.row(o);
-    auto w_row = w_.row(o);
-    for (std::size_t i = 0; i < in_dim(); ++i) {
-      gw_row[i] += dz * last_x_[i];
-      dx[i] += dz * w_row[i];
-    }
+void DenseLayer::backward(const double* x, const double* y, double* dz, std::size_t n,
+                          double* dx) {
+  const std::size_t in = in_dim(), out = out_dim();
+  with_activation(act_, [&](auto a) {
+    for (std::size_t k = 0; k < n * out; ++k) dz[k] *= activation_grad_from_output(a, y[k]);
+  });
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t o = 0; o < out; ++o) gb_[o] += dz[s * out + o];
+  }
+  // gw[o][i] += dz[s][o] * x[s][i], over the rows in order.
+  product(dz, 1, out, x, out, in, n, gw_.flat().data(), true);
+  // dx[s][i] = sum_o dz[s][o] * w[o][i].
+  if (dx != nullptr) product(dz, out, 1, w_.flat().data(), n, in, out, dx, false);
+}
+
+void DenseLayer::transpose_weights() {
+  const std::size_t in = in_dim(), out = out_dim();
+  wt_.resize(in * out);
+  for (std::size_t o = 0; o < out; ++o) {
+    for (std::size_t i = 0; i < in; ++i) wt_[i * out + o] = w_(o, i);
   }
 }
 
@@ -104,6 +204,7 @@ void DenseLayer::step(double lr, std::size_t batch, std::size_t t, double beta1,
     b_[o] -= lr * (mb_[o] / bc1) / (std::sqrt(vb_[o] / bc2) + eps);
     gb_[o] = 0.0;
   }
+  transpose_weights();
 }
 
 Mlp::Mlp(std::span<const std::size_t> dims, std::span<const Activation> acts, Rng& rng) {
@@ -114,40 +215,76 @@ Mlp::Mlp(std::span<const std::size_t> dims, std::span<const Activation> acts, Rn
   for (std::size_t l = 0; l + 1 < dims.size(); ++l) {
     layers_.emplace_back(dims[l], dims[l + 1], acts[l], rng);
   }
-  buf_.resize(layers_.size());
+  act_.resize(dims.size());
+  grad_.resize(dims.size());
 }
 
 std::size_t Mlp::in_dim() const { return layers_.front().in_dim(); }
 std::size_t Mlp::out_dim() const { return layers_.back().out_dim(); }
 
-const std::vector<double>& Mlp::forward(std::span<const double> x) {
-  std::span<const double> cur = x;
+// Buffers only ever grow to the largest minibatch: a smaller (ragged) batch
+// shrinks their size, not their capacity.
+void Mlp::resize_rows(std::size_t n) {
+  act_[0].resize(n * in_dim());
   for (std::size_t l = 0; l < layers_.size(); ++l) {
-    layers_[l].forward(cur, buf_[l]);
-    cur = buf_[l];
+    act_[l + 1].resize(n * layers_[l].out_dim());
+    grad_[l + 1].resize(n * layers_[l].out_dim());
   }
-  return buf_.back();
+}
+
+void Mlp::forward_rows(std::size_t n) {
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    layers_[l].forward(act_[l].data(), n, act_[l + 1].data());
+  }
+}
+
+std::span<const double> Mlp::forward(std::span<const double> x) {
+  if (x.size() != in_dim()) throw std::invalid_argument("Mlp: bad input width");
+  resize_rows(1);
+  std::copy(x.begin(), x.end(), act_[0].begin());
+  forward_rows(1);
+  return act_.back();
+}
+
+void Mlp::forward_const(const double* x, std::size_t n, std::vector<double>& out,
+                        std::vector<double>& scratch) const {
+  // Alternate the two buffers so that the last layer writes `out`.
+  const double* in = x;
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    std::vector<double>& y = (layers_.size() - l) % 2 == 1 ? out : scratch;
+    y.resize(n * layers_[l].out_dim());
+    layers_[l].forward(in, n, y.data());
+    in = y.data();
+  }
 }
 
 void Mlp::forward_const(std::span<const double> x, std::vector<double>& out,
                         std::vector<double>& scratch) const {
-  std::vector<double>* cur = &out;
-  std::vector<double>* nxt = &scratch;
-  layers_.front().forward_const(x, *cur);
-  for (std::size_t l = 1; l < layers_.size(); ++l) {
-    layers_[l].forward_const(*cur, *nxt);
-    std::swap(cur, nxt);
+  if (x.size() != in_dim()) throw std::invalid_argument("Mlp: bad input width");
+  forward_const(x.data(), 1, out, scratch);
+}
+
+// grad_.back() holds dL/dy for the n rows in act_; the input layer writes
+// its dL/dx to `dx`, or skips it when dx is null.
+void Mlp::backward_rows(std::size_t n, double* dx) {
+  for (std::size_t l = layers_.size(); l-- > 0;) {
+    layers_[l].backward(act_[l].data(), act_[l + 1].data(), grad_[l + 1].data(), n,
+                        l > 0 ? grad_[l].data() : dx);
   }
-  if (cur != &out) out.swap(*cur);
+}
+
+void Mlp::backward_one(std::span<const double> dout, double* dx) {
+  if (dout.size() != out_dim()) throw std::invalid_argument("Mlp: bad output gradient width");
+  std::copy(dout.begin(), dout.end(), grad_.back().begin());
+  backward_rows(1, dx);
 }
 
 void Mlp::backward(std::span<const double> dout, std::vector<double>& dx) {
-  std::vector<double> d(dout.begin(), dout.end());
-  for (std::size_t l = layers_.size(); l-- > 0;) {
-    layers_[l].backward(d, dx);
-    d = dx;
-  }
+  dx.resize(in_dim());
+  backward_one(dout, dx.data());
 }
+
+void Mlp::backward(std::span<const double> dout) { backward_one(dout, nullptr); }
 
 void Mlp::step(double lr, std::size_t batch) {
   ++adam_t_;
@@ -156,21 +293,30 @@ void Mlp::step(double lr, std::size_t batch) {
 
 double Mlp::train_batch(const Matrix& x, const Matrix& target,
                         std::span<const std::size_t> idx, double lr) {
-  double loss = 0.0;
-  std::vector<double> dout, dx;
-  for (std::size_t s : idx) {
-    const auto& y = forward(x.row(s));
-    auto t = target.row(s);
-    dout.resize(y.size());
-    for (std::size_t j = 0; j < y.size(); ++j) {
-      const double e = y[j] - t[j];
-      loss += e * e;
-      dout[j] = 2.0 * e / static_cast<double>(y.size());
-    }
-    backward(dout, dx);
+  if (x.cols() != in_dim() || target.cols() != out_dim()) {
+    throw std::invalid_argument("Mlp::train_batch: width mismatch");
   }
-  step(lr, idx.size());
-  return loss / static_cast<double>(idx.size() * out_dim());
+  const std::size_t n = idx.size(), in = in_dim(), out = out_dim();
+  resize_rows(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    auto row = x.row(idx[s]);
+    std::copy(row.begin(), row.end(), act_[0].begin() + static_cast<std::ptrdiff_t>(s * in));
+  }
+  forward_rows(n);
+  const double* y = act_.back().data();
+  double* dout = grad_.back().data();
+  double loss = 0.0;
+  for (std::size_t s = 0; s < n; ++s) {
+    auto t = target.row(idx[s]);
+    for (std::size_t j = 0; j < out; ++j) {
+      const double e = y[s * out + j] - t[j];
+      loss += e * e;
+      dout[s * out + j] = 2.0 * e / static_cast<double>(out);
+    }
+  }
+  backward_rows(n, nullptr);
+  step(lr, n);
+  return loss / static_cast<double>(n * out);
 }
 
 double Mlp::fit(const Matrix& x, const Matrix& target, std::size_t epochs,

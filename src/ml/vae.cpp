@@ -38,7 +38,7 @@ void Vae::fit(const Matrix& benign, Rng& rng) {
 
   std::vector<std::size_t> order(z.rows());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  std::vector<double> lat(L), eps(L), dy(m), dz, dlat(2 * L), dx;
+  std::vector<double> lat(L), eps(L), dy(m), dz, dlat(2 * L);
 
   for (std::size_t epoch = 0; epoch < cfg_.epochs; ++epoch) {
     rng.shuffle(std::span<std::size_t>(order));
@@ -76,7 +76,7 @@ void Vae::fit(const Matrix& benign, Rng& rng) {
           dlat[L + j] = dz[j] * eps[j] * 0.5 * std::exp(0.5 * logvar) +
                         cfg_.beta * 0.5 * (std::exp(logvar) - 1.0);  // dlogvar
         }
-        encoder_.backward(dlat, dx);
+        encoder_.backward(dlat);  // the input gradient is not needed
       }
       decoder_.step(cfg_.learning_rate, len);
       encoder_.step(cfg_.learning_rate, len);

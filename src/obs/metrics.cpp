@@ -109,7 +109,7 @@ MetricsSnapshot Registry::snapshot() const {
     out.scalars[h->name + ".min"] = n > 0 ? h->min.load(std::memory_order_relaxed) : 0.0;
     out.scalars[h->name + ".max"] = n > 0 ? h->max.load(std::memory_order_relaxed) : 0.0;
     for (std::size_t i = 0; i < h->buckets.size(); ++i) {
-      char key[16];
+      char key[24];  // ".b" + up to 20 digits + NUL: never truncates
       std::snprintf(key, sizeof(key), ".b%02zu", i);
       out.scalars[h->name + key] =
           static_cast<double>(h->buckets[i].load(std::memory_order_relaxed));

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "core/ae_ensemble.hpp"
 #include "eval/metrics.hpp"
@@ -244,6 +246,78 @@ TEST(AeEnsembleTest, SetWeightsValidation) {
   EXPECT_THROW(ens.set_weights({1.0}), std::invalid_argument);
   EXPECT_THROW(ens.set_weights({0.9, 0.9}), std::invalid_argument);
   EXPECT_NO_THROW(ens.set_weights({0.3, 0.7}));
+}
+
+// --- golden bits ---------------------------------------------------------------
+
+// FNV-1a over the raw bytes of every value fed in.
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void bytes(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) h = (h ^ b[i]) * 0x100000001b3ull;
+  }
+  void f64(double v) { bytes(&v, sizeof v); }
+  void i64(std::int64_t v) { bytes(&v, sizeof v); }
+};
+
+// A fixed 13-feature matrix (the testbed FL width): three latent factors
+// mixed linearly and through a tanh, plus small noise.
+ml::Matrix golden_matrix() {
+  ml::Rng rng(4242);
+  ml::Matrix x(0, 13);
+  std::vector<double> row(13);
+  for (int i = 0; i < 360; ++i) {
+    const double a = rng.normal(), b = rng.normal(), c = rng.uniform(-1.0, 1.0);
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      const double k = static_cast<double>(j) + 1.0;
+      row[j] = a * std::cos(k) + b * std::sin(0.7 * k) + std::tanh(c * k / 4.0) +
+               0.05 * rng.normal();
+    }
+    x.push_row(row);
+  }
+  return x;
+}
+
+// Pins the exact bits of a testbed teacher (member thresholds and every
+// reconstruction error on the matrix) and of a guided forest fit on it
+// (splits, leaf labels and the distilled leaf_re), at 1 and 2 threads.
+// Any change to the dense-layer kernels' floating-point operation order,
+// or to how the forest queries its teacher, changes this hash.
+TEST(GuidedForestGolden, TestbedTeacherAndForestBitsArePinned) {
+  const ml::Matrix x = golden_matrix();
+  for (std::size_t threads : {1u, 2u}) {
+    AeEnsembleConfig tcfg{.ensemble_size = 3, .base = ml::testbed_autoencoder_config(12)};
+    tcfg.num_threads = threads;
+    ml::Rng rng(99);
+    AeEnsemble teacher;
+    teacher.fit(x, tcfg, rng);
+    GuidedForestConfig fcfg;
+    fcfg.augment = 64;
+    fcfg.num_threads = threads;
+    GuidedIsolationForest forest(fcfg);
+    forest.fit(x, teacher, rng);
+
+    Fnv1a h;
+    for (std::size_t u = 0; u < teacher.size(); ++u) h.f64(teacher.member_threshold(u));
+    const ml::Matrix re = teacher.reconstruction_errors(x, threads);
+    for (double v : re.flat()) h.f64(v);
+    std::size_t leaves = 0, malicious = 0;
+    for (const auto& tree : forest.trees()) {
+      for (const auto& n : tree.nodes) {
+        h.i64(n.feature);
+        h.f64(n.threshold);
+        h.i64(n.label);
+        for (double v : n.leaf_re) h.f64(v);
+        leaves += n.feature < 0 ? 1 : 0;
+        malicious += n.feature < 0 && n.label == 1 ? 1 : 0;
+      }
+    }
+    // The fit must exercise both growth and distillation.
+    EXPECT_GT(leaves, 5u * forest.trees().size()) << "threads " << threads;
+    EXPECT_GT(malicious, 0u) << "threads " << threads;
+    EXPECT_EQ(h.h, 0xc0b116fa57368fa4ull) << "threads " << threads;
+  }
 }
 
 }  // namespace

@@ -122,7 +122,8 @@ TEST(ParallelDeterminism, BatchedScoringMatchesPerRow) {
   ml::Rng rng(5);
   ens.fit(train, small_teacher_config(1), rng);
 
-  const ml::Matrix probe = manifold(64, 99);
+  // Several scoring blocks, so the 4-thread run really spreads them.
+  const ml::Matrix probe = manifold(3 * ml::Autoencoder::kScoreRows + 5, 99);
   const ml::Matrix e1 = ens.reconstruction_errors(probe, 1);
   const ml::Matrix e4 = ens.reconstruction_errors(probe, 4);
   const auto p4 = ens.predict_batch(probe, 4);
