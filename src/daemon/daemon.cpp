@@ -250,8 +250,12 @@ void Daemon::ingest_batch(std::string& bytes) {
   if (bytes.empty()) return;
   ++stats_.batches;
   obs_.batches.inc();
-  io::IngestResult r = reader_->read_buffer(bytes);
+  io::IngestResult& r = batch_result_;
+  reader_->read_buffer(bytes, r);
   bytes.clear();
+  // The reader numbers records from 0 within the batch; the daemon's ring
+  // reports them by their index in the whole offered stream.
+  const std::uint64_t base = stats_.ingest.offered;
   stats_.ingest.offered += r.stats.offered;
   stats_.ingest.accepted += r.stats.accepted;
   stats_.ingest.quarantined += r.stats.quarantined;
@@ -261,7 +265,7 @@ void Daemon::ingest_batch(std::string& bytes) {
   stats_.ingest.timestamps_clamped += r.stats.timestamps_clamped;
   for (std::size_t i = 0; i < r.quarantine.size(); ++i) {
     const io::IngestError& e = r.quarantine[i];
-    quarantine_.push(e.category, e.record_index, e.detail, e.snippet);
+    quarantine_.push(e.category, base + e.record_index, e.detail, e.snippet);
   }
   if (!r.container_ok && stats_.container_ok) {
     stats_.container_ok = false;

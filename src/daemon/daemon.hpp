@@ -14,11 +14,16 @@
 // function of the packet sequence, both modes produce byte-identical
 // non-timing state — the determinism tests gate exactly that.
 //
-// Steady-state allocation contract: the consumer packet path (try_pop →
-// shard_of → Pipeline::process → alert cadence check) allocates nothing
-// once warm — the alloc-probe test extends the counting-operator-new gate
-// over drain_some(). The producer side allocates per *batch* (file chunk,
-// reader result), never per packet, and reuses its buffers across batches.
+// Steady-state allocation contract: neither loop allocates once warm. The
+// consumer packet path (try_pop → shard_of → Pipeline::process → alert
+// cadence check) allocates nothing once its flows are warm. The producer
+// (source read → framer → TraceReader → gate → ring push) reads into
+// buffers it owns and reuses across batches: the source chunk, the framed
+// batch, the reader's IngestResult and the gate's admit buffer. Once the
+// first pass has grown them, a clean batch allocates nothing; only a
+// quarantined record allocates (its detail and snippet strings). The
+// alloc-probe test brackets both pump_once() and drain_some() with the
+// counting operator new on a warm pass and expects zero for each.
 //
 // Reload: request_reload() re-validates a full DaemonConfig, rejects
 // structural changes (shards, source identity, pipeline/control shape) with
@@ -207,6 +212,7 @@ class Daemon {
   io::OverloadStats gate_base_;    // stats of gates retired by reloads
   std::string io_buf_;             // raw source bytes (reused)
   std::string batch_buf_;          // framed batch (reused)
+  io::IngestResult batch_result_;  // reader output per batch (reused)
   std::vector<traffic::Packet> admit_buf_;  // gate output (reused)
   double time_offset_ = 0.0;       // looped-replay event-time shift
   double producer_ts_ = 0.0;       // last offered (shifted) timestamp
@@ -235,7 +241,9 @@ class Daemon {
   // --- shared ---------------------------------------------------------------
   DaemonStats stats_;
   AlertLog alerts_;
-  io::QuarantineRing quarantine_;  // persistent copy of per-batch quarantines
+  /// Persistent copy of per-batch quarantines, re-indexed by position in
+  /// the whole offered stream (ingest.offered before the batch + offset).
+  io::QuarantineRing quarantine_;
   std::atomic<bool> stop_{false};
   /// Guards pending_reload_, the gate_ swap (and gate_base_ fold), and the
   /// hot-applied cfg_ fields — so config_snapshot()/stats() can read them

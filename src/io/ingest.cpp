@@ -1,10 +1,12 @@
 #include "io/ingest.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "trafficgen/pcap_io.hpp"
@@ -15,22 +17,24 @@ namespace {
 
 constexpr std::size_t kMaxDetailBytes = 160;
 
-/// from_chars-strict scalar parse: the whole field, nothing but the value.
+/// One unsigned integer field of a CSV row, scanned and accumulated in a
+/// single pass with exactly std::from_chars' whole-field rules: at least one
+/// ASCII digit, nothing else, value <= T's max. The field ends at a ','
+/// (consumed) or at `end`; the caller has checked the row's comma count, so
+/// only the last field can reach `end`.
 template <typename T>
-bool parse_int(std::string_view s, T& out) {
-  if (s.empty()) return false;
-  const auto* first = s.data();
-  const auto* last = s.data() + s.size();
-  const auto res = std::from_chars(first, last, out, 10);
-  return res.ec == std::errc{} && res.ptr == last;
-}
-
-bool parse_double(std::string_view s, double& out) {
-  if (s.empty()) return false;
-  const auto* first = s.data();
-  const auto* last = s.data() + s.size();
-  const auto res = std::from_chars(first, last, out);
-  return res.ec == std::errc{} && res.ptr == last && std::isfinite(out);
+bool scan_uint(const char*& p, const char* end, T& out) {
+  const char* const first = p;
+  std::uint64_t v = 0;
+  for (; p != end; ++p) {
+    const unsigned d = static_cast<unsigned char>(*p) - unsigned{'0'};
+    if (d > 9) break;
+    v = v * 10 + d;
+    if (v > std::numeric_limits<T>::max()) return false;
+  }
+  if (p == first) return false;
+  out = static_cast<T>(v);
+  return p == end || *p++ == ',';
 }
 
 std::string clip(std::string s) {
@@ -71,6 +75,14 @@ void QuarantineRing::push(IngestErrorCategory cat, std::uint64_t record_index,
   ring_[start_] = std::move(e);
   start_ = (start_ + 1) % capacity_;
   ++evicted_;
+}
+
+void QuarantineRing::reset(std::size_t capacity, std::size_t snippet_bytes) {
+  capacity_ = capacity;
+  snippet_bytes_ = snippet_bytes;
+  ring_.clear();
+  start_ = 0;
+  evicted_ = 0;
 }
 
 bool IngestStats::conserved() const {
@@ -163,11 +175,7 @@ bool sanitise_ts(double& ts, double& prev_ts, bool clamp, IngestStats& stats,
 
 }  // namespace
 
-IngestResult TraceReader::read_csv(std::string_view bytes) const {
-  IngestResult r;
-  r.quarantine = QuarantineRing(cfg_.limits.quarantine_capacity,
-                                cfg_.limits.quarantine_snippet_bytes);
-
+void TraceReader::read_csv(std::string_view bytes, IngestResult& r) const {
   // Header line first: its absence is container damage, counted as one
   // offered+quarantined record so conservation covers the probe itself.
   std::size_t pos = 0;
@@ -181,8 +189,7 @@ IngestResult TraceReader::read_csv(std::string_view bytes) const {
             header);
       r.container_ok = false;
       r.container_error = "csv: missing or malformed header";
-      finish(r);
-      return r;
+      return;
     }
     pos = eol == std::string_view::npos ? bytes.size() : eol + 1;
   }
@@ -209,50 +216,44 @@ IngestResult TraceReader::read_csv(std::string_view bytes) const {
       continue;
     }
 
-    // Split into exactly 11 fields.
-    std::array<std::string_view, 11> f;
-    std::size_t nfields = 0;
-    std::size_t start = 0;
-    bool too_many = false;
-    for (std::size_t i = 0; i <= row.size(); ++i) {
-      if (i == row.size() || row[i] == ',') {
-        if (nfields == f.size()) {
-          too_many = true;
-          break;
-        }
-        f[nfields++] = row.substr(start, i - start);
-        start = i + 1;
-      }
-    }
-    if (too_many) {
+    // Field count first, so a row with the wrong shape reports it before
+    // any field error: exactly 10 commas, i.e. 11 fields.
+    const auto commas = std::count(row.begin(), row.end(), ',');
+    if (commas > 10) {
       count(r, IngestErrorCategory::kBadField, idx, "csv: more than 11 fields", row);
       continue;
     }
-    if (nfields < f.size()) {
+    if (commas < 10) {
       count(r, IngestErrorCategory::kTruncated, idx,
-            "csv: " + std::to_string(nfields) + " of 11 fields", row);
+            "csv: " + std::to_string(commas + 1) + " of 11 fields", row);
       continue;
     }
 
-    traffic::Packet p;
-    std::uint8_t flags = 0, malicious = 0;
-    if (!parse_double(f[0], p.ts)) {
+    // Then one scan: ts up to the first comma, and the ten integer fields,
+    // each ending at a comma and the last at the row's end.
+    const char* p = row.data();
+    const char* const end = row.data() + row.size();
+    traffic::Packet pkt;
+    const auto ts = std::from_chars(p, end, pkt.ts);
+    if (ts.ec != std::errc{} || *ts.ptr != ',' || !std::isfinite(pkt.ts)) {
       count(r, IngestErrorCategory::kBadField, idx, "csv: ts is not a finite number", row);
       continue;
     }
-    if (!parse_int(f[1], p.ft.src_ip) || !parse_int(f[2], p.ft.dst_ip) ||
-        !parse_int(f[3], p.ft.src_port) || !parse_int(f[4], p.ft.dst_port) ||
-        !parse_int(f[5], p.ft.proto) || !parse_int(f[6], p.length) ||
-        !parse_int(f[7], p.ttl) || !parse_int(f[8], flags) || !parse_int(f[9], malicious) ||
-        !parse_int(f[10], p.flow_id)) {
+    p = ts.ptr + 1;
+    std::uint8_t flags = 0, malicious = 0;
+    if (!scan_uint(p, end, pkt.ft.src_ip) || !scan_uint(p, end, pkt.ft.dst_ip) ||
+        !scan_uint(p, end, pkt.ft.src_port) || !scan_uint(p, end, pkt.ft.dst_port) ||
+        !scan_uint(p, end, pkt.ft.proto) || !scan_uint(p, end, pkt.length) ||
+        !scan_uint(p, end, pkt.ttl) || !scan_uint(p, end, flags) ||
+        !scan_uint(p, end, malicious) || !scan_uint(p, end, pkt.flow_id)) {
       count(r, IngestErrorCategory::kBadField, idx,
             "csv: numeric field failed strict parse or overflowed its width", row);
       continue;
     }
-    if (p.ft.proto != traffic::kProtoTcp && p.ft.proto != traffic::kProtoUdp &&
-        p.ft.proto != traffic::kProtoIcmp) {
+    if (pkt.ft.proto != traffic::kProtoTcp && pkt.ft.proto != traffic::kProtoUdp &&
+        pkt.ft.proto != traffic::kProtoIcmp) {
       count(r, IngestErrorCategory::kUnsupported, idx,
-            "csv: proto " + std::to_string(unsigned{p.ft.proto}) + " not in {1,6,17}", row);
+            "csv: proto " + std::to_string(unsigned{pkt.ft.proto}) + " not in {1,6,17}", row);
       continue;
     }
     if (flags > 5) {
@@ -264,37 +265,30 @@ IngestResult TraceReader::read_csv(std::string_view bytes) const {
       count(r, IngestErrorCategory::kRangeViolation, idx, "csv: malicious must be 0/1", row);
       continue;
     }
-    p.flags = static_cast<traffic::TcpFlag>(flags);
-    p.malicious = malicious != 0;
+    pkt.flags = static_cast<traffic::TcpFlag>(flags);
+    pkt.malicious = malicious != 0;
 
     std::string why;
-    if (!sanitise_ts(p.ts, prev_ts, cfg_.clamp_timestamps, r.stats, &why)) {
+    if (!sanitise_ts(pkt.ts, prev_ts, cfg_.clamp_timestamps, r.stats, &why)) {
       count(r, IngestErrorCategory::kRangeViolation, idx, "csv: " + why, row);
       continue;
     }
     ++r.stats.accepted;
-    r.trace.packets.push_back(p);
+    r.trace.packets.push_back(pkt);
   }
-  finish(r);
-  return r;
 }
 
-IngestResult TraceReader::read_pcap(std::string_view bytes) const {
-  IngestResult r;
-  r.quarantine = QuarantineRing(cfg_.limits.quarantine_capacity,
-                                cfg_.limits.quarantine_snippet_bytes);
-
+void TraceReader::read_pcap(std::string_view bytes, IngestResult& r) const {
   const auto container_fail = [&](const std::string& msg) {
     ++r.stats.offered;
     count(r, IngestErrorCategory::kContainer, 0, msg, bytes.substr(0, 24));
     r.container_ok = false;
     r.container_error = msg;
-    finish(r);
-    return r;
   };
 
   if (bytes.size() < traffic::kPcapGlobalHeaderLen) {
-    return container_fail("pcap: truncated global header");
+    container_fail("pcap: truncated global header");
+    return;
   }
   const auto rd32 = [&](std::size_t off) {
     std::uint32_t v;
@@ -302,10 +296,12 @@ IngestResult TraceReader::read_pcap(std::string_view bytes) const {
     return v;
   };
   if (rd32(0) != traffic::kPcapMagicLE) {
-    return container_fail("pcap: unsupported magic/endianness");
+    container_fail("pcap: unsupported magic/endianness");
+    return;
   }
   if (rd32(20) != traffic::kPcapLinkEthernet) {
-    return container_fail("pcap: not Ethernet link type");
+    container_fail("pcap: not Ethernet link type");
+    return;
   }
 
   double prev_ts = 0.0;
@@ -383,26 +379,43 @@ IngestResult TraceReader::read_pcap(std::string_view bytes) const {
     ++r.stats.accepted;
     r.trace.packets.push_back(p);
   }
-  finish(r);
-  return r;
 }
 
-IngestResult TraceReader::read_buffer(std::string_view bytes) const {
+void TraceReader::reset(IngestResult& r) const {
+  r.trace.packets.clear();
+  r.stats = {};
+  r.quarantine.reset(cfg_.limits.quarantine_capacity, cfg_.limits.quarantine_snippet_bytes);
+  r.container_ok = true;
+  r.container_error.clear();
+}
+
+void TraceReader::read_buffer(std::string_view bytes, IngestResult& out) const {
+  reset(out);
   TraceFormat fmt = cfg_.format;
   if (fmt == TraceFormat::kAuto) {
     std::uint32_t magic = 0;
     if (bytes.size() >= sizeof(magic)) std::memcpy(&magic, bytes.data(), sizeof(magic));
     fmt = magic == traffic::kPcapMagicLE ? TraceFormat::kPcap : TraceFormat::kCsv;
   }
-  return fmt == TraceFormat::kPcap ? read_pcap(bytes) : read_csv(bytes);
+  if (fmt == TraceFormat::kPcap) {
+    read_pcap(bytes, out);
+  } else {
+    read_csv(bytes, out);
+  }
+  finish(out);
+}
+
+IngestResult TraceReader::read_buffer(std::string_view bytes) const {
+  IngestResult r;
+  read_buffer(bytes, r);
+  return r;
 }
 
 IngestResult TraceReader::read_file(const std::string& path) const {
   std::ifstream f(path, std::ios::binary);
   if (!f) {
     IngestResult r;
-    r.quarantine = QuarantineRing(cfg_.limits.quarantine_capacity,
-                                  cfg_.limits.quarantine_snippet_bytes);
+    reset(r);
     ++r.stats.offered;
     count(r, IngestErrorCategory::kContainer, 0, "cannot open " + path, {});
     r.container_ok = false;

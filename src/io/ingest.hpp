@@ -64,6 +64,9 @@ class QuarantineRing {
 
   void push(IngestErrorCategory cat, std::uint64_t record_index, std::string detail,
             std::string_view raw);
+  /// Empty the ring and zero the eviction count under new bounds; the
+  /// entries' storage is kept for reuse.
+  void reset(std::size_t capacity, std::size_t snippet_bytes);
 
   std::size_t size() const { return ring_.size(); }
   std::size_t capacity() const { return capacity_; }
@@ -157,14 +160,20 @@ class TraceReader {
 
   /// Auto-detects pcap vs CSV unless cfg.format pins one.
   IngestResult read_buffer(std::string_view bytes) const;
+  /// The same read into a caller-owned result: `out` is reset first (stats,
+  /// quarantine, container state) but keeps its capacity, so a caller that
+  /// reads batch after batch into one result stops allocating once the
+  /// trace buffer has grown to its largest batch.
+  void read_buffer(std::string_view bytes, IngestResult& out) const;
   /// An unreadable file is a container error (kContainer), not an exception.
   IngestResult read_file(const std::string& path) const;
 
   const TraceReaderConfig& config() const { return cfg_; }
 
  private:
-  IngestResult read_csv(std::string_view bytes) const;
-  IngestResult read_pcap(std::string_view bytes) const;
+  void reset(IngestResult& r) const;
+  void read_csv(std::string_view bytes, IngestResult& r) const;
+  void read_pcap(std::string_view bytes, IngestResult& r) const;
   void count(IngestResult& r, IngestErrorCategory cat, std::uint64_t index,
              std::string detail, std::string_view raw) const;
   void finish(IngestResult& r) const;

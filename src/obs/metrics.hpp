@@ -333,8 +333,11 @@ class ScopeTimerNs {
   ScopeTimerNs& operator=(const ScopeTimerNs&) = delete;
 
   /// Re-target the destination histogram (e.g. once the packet's execution
-  /// path is known). An inactive histogram cancels the record.
-  void set(Histogram h) { h_ = h; }
+  /// path is known). An inactive histogram cancels the record; a timer
+  /// built inactive stays inactive (it never captured a start time).
+  void set(Histogram h) {
+    if (h_.active()) h_ = h;
+  }
 
  private:
   Histogram h_;

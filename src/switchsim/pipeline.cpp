@@ -184,10 +184,12 @@ int Pipeline::process(const traffic::Packet& p, SimStats& stats) {
 }
 
 int Pipeline::process_hinted(const traffic::Packet& p, SimStats& stats, int pl_hint) {
-  // Latency scope for the per-path histograms: t0 is captured up front (the
-  // handle is active iff a registry is attached) and the destination is
-  // re-targeted once the packet's path is known.
-  obs::ScopeTimerNs timer(obs_.path_ns[0]);
+  // Latency scope for the per-path histograms, armed on one packet in
+  // kTimingSampleEvery (the first included) when a registry is attached:
+  // t0 is captured up front and the destination is re-targeted once the
+  // packet's path is known. Untimed packets build an inactive timer.
+  const bool timed = timing_tick_++ % kTimingSampleEvery == 0;
+  obs::ScopeTimerNs timer(timed ? obs_.path_ns[0] : obs::Histogram{});
   // Apply control-plane work due by this packet's time before the lookup:
   // with zero latency and no faults this is exactly the lockstep model (an
   // install triggered by packet i has always only affected packets > i).

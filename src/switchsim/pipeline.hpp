@@ -146,6 +146,12 @@ struct SimStats {
 
 class Pipeline {
  public:
+  /// One packet in this many is timed into the per-path process_ns
+  /// histograms (DESIGN.md §4d): two clock reads and a histogram record
+  /// cost more than the purple fast path itself, so timing every packet
+  /// would make the instrument the hot path.
+  static constexpr std::uint64_t kTimingSampleEvery = 64;
+
   Pipeline(const PipelineConfig& cfg, const DeployedModel& model);
 
   /// Process one packet; returns the verdict (1 = drop as malicious). The
@@ -248,6 +254,7 @@ class Pipeline {
   Obs obs_;
   std::size_t slots_claimed_ = 0;      // incremental flow-store occupancy
   std::size_t last_evictions_ = 0;     // blacklist eviction delta tracking
+  std::uint64_t timing_tick_ = 0;      // packets seen, for timing sampling
 };
 
 }  // namespace iguard::switchsim

@@ -296,12 +296,12 @@ TEST_F(AllocPathTest, DaemonDrainIsAllocationFreeOnceWarm) {
   if (!harness::alloc_counting_active()) {
     GTEST_SKIP() << "sanitizer build owns the allocator";
   }
-  // The serving daemon's consumer packet path (ring pop -> shard_of ->
-  // Pipeline::process -> alert cadence check) extends the zero-allocation
-  // invariant to the daemon loop: once the first replay pass has warmed
-  // every flow, drain_some() must be heap-silent. The producer side is
-  // allowed to allocate per *batch* (reader results), never per packet, so
-  // the probe brackets only the drain calls.
+  // The serving daemon extends the zero-allocation invariant to both of
+  // its loops. Consumer: ring pop -> shard_of -> Pipeline::process -> alert
+  // cadence check. Producer: source read -> framer -> TraceReader into the
+  // daemon's reused result -> gate -> ring push. Once the first replay pass
+  // has warmed every flow and grown every buffer, pump_once() and
+  // drain_some() on clean input must both be heap-silent.
   traffic::Trace t;
   double ts = 0.0;
   for (int i = 0; i < 8; ++i) {
@@ -322,6 +322,8 @@ TEST_F(AllocPathTest, DaemonDrainIsAllocationFreeOnceWarm) {
   cfg.source.path = path;
   cfg.source.loops = 2;
   cfg.ring_capacity = 4096;  // holds a full pass: pump never drains inline
+  cfg.source.chunk_bytes = 1000;  // rows split across reads
+  cfg.max_batch_records = 16;     // several reader batches per read
   cfg.pipeline.packet_threshold_n = 4;
   cfg.pipeline.idle_timeout_delta = 1e9;
   daemon::Daemon d(cfg, model());
@@ -333,17 +335,22 @@ TEST_F(AllocPathTest, DaemonDrainIsAllocationFreeOnceWarm) {
     d.drain_some(static_cast<std::size_t>(-1));
   }
 
-  // Pass 2: the same flows replayed warm; only the drains are counted.
-  std::size_t counted = 0, allocs = 0;
+  // Pass 2: the same flows replayed warm, every pump and drain counted.
+  std::size_t counted = 0, allocs = 0, pumps = 0, pump_allocs = 0;
   for (;;) {
+    std::size_t before = harness::alloc_count();
     const daemon::Daemon::PumpStatus st = d.pump_once();
-    const std::size_t before = harness::alloc_count();
+    pump_allocs += harness::alloc_count() - before;
+    ++pumps;
+    before = harness::alloc_count();
     counted += d.drain_some(static_cast<std::size_t>(-1));
     allocs += harness::alloc_count() - before;
     if (st == daemon::Daemon::PumpStatus::kDone) break;
   }
   EXPECT_GT(counted, 0u);
+  EXPECT_GT(pumps, 1u);
   EXPECT_EQ(allocs, 0u) << "daemon drain allocated " << allocs << " times";
+  EXPECT_EQ(pump_allocs, 0u) << "daemon pump allocated " << pump_allocs << " times";
 
   d.finalize();
   EXPECT_EQ(daemon::audit_daemon_conservation(d.stats()), "");

@@ -315,6 +315,34 @@ TEST(Daemon, ServesLoopedTraceWithConservationAndDeterminism) {
             strip_timing(obs::to_prometheus(reg_b.snapshot())));
 }
 
+TEST(Daemon, QuarantineReportsStreamWideRecordIndices) {
+  // The reader numbers records within one batch; the daemon's quarantine
+  // ring must report the index in the whole offered stream. A bad row after
+  // more than max_batch_records good rows lands in a later batch, and the
+  // second loop pass continues the numbering.
+  Model model;
+  const traffic::Trace t = make_trace(4, 4);  // 16 clean rows per pass
+  std::string csv = io::trace_to_csv(t);
+  std::size_t at = csv.find('\n') + 1;  // past the header
+  for (int row = 0; row < 10; ++row) at = csv.find('\n', at) + 1;
+  csv.insert(at, "0.5,1,2,3,4,47,5,6,1,0,1\n");  // proto 47: record 10
+  const std::string path = write_temp("daemon_quarantine_index.csv", csv);
+
+  DaemonConfig cfg = base_config(path);
+  cfg.source.loops = 2;
+  cfg.max_batch_records = 4;
+  Daemon d(cfg, model.dm);
+  d.run_synchronous();
+  ASSERT_EQ(d.stats().ingest.offered, 2u * 17u);
+  ASSERT_EQ(d.stats().ingest.quarantined, 2u);
+  ASSERT_EQ(d.quarantine().size(), 2u);
+  EXPECT_EQ(d.quarantine()[0].record_index, 10u);
+  EXPECT_EQ(d.quarantine()[1].record_index, 17u + 10u);
+  EXPECT_EQ(d.quarantine()[1].category, io::IngestErrorCategory::kUnsupported);
+  EXPECT_EQ(audit_daemon_conservation(d.stats()), "");
+  std::remove(path.c_str());
+}
+
 TEST(Daemon, ThreadedRunMatchesSynchronousRun) {
   Model model;
   const std::string path =

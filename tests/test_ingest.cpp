@@ -4,7 +4,9 @@
 // byte-identity contracts the bench gates enforce at scale.
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 #include <thread>
 
@@ -218,6 +220,365 @@ TEST(IngestCsv, MetricsCountersMatchStats) {
   EXPECT_EQ(snap.scalars.at("ingest.quarantined"), 1.0);
   EXPECT_EQ(snap.scalars.at("ingest.quarantine.truncated"),
             static_cast<double>(cat(r.stats, io::IngestErrorCategory::kTruncated)));
+}
+
+// ---------------------------------------------------------------------------
+// Single-pass CSV scanner against the split + std::from_chars parser it
+// replaced, kept here as the oracle: every IngestResult field must match.
+
+namespace {
+
+template <typename T>
+bool oracle_int(std::string_view s, T& out) {
+  if (s.empty()) return false;
+  const auto res = std::from_chars(s.data(), s.data() + s.size(), out, 10);
+  return res.ec == std::errc{} && res.ptr == s.data() + s.size();
+}
+
+bool oracle_double(std::string_view s, double& out) {
+  if (s.empty()) return false;
+  const auto res = std::from_chars(s.data(), s.data() + s.size(), out);
+  return res.ec == std::errc{} && res.ptr == s.data() + s.size() && std::isfinite(out);
+}
+
+io::IngestResult oracle_read_csv(std::string_view bytes, const io::TraceReaderConfig& cfg) {
+  using C = io::IngestErrorCategory;
+  io::IngestResult r;
+  r.quarantine = io::QuarantineRing(cfg.limits.quarantine_capacity,
+                                    cfg.limits.quarantine_snippet_bytes);
+  const auto count = [&](C c, std::uint64_t idx, std::string detail, std::string_view raw) {
+    ++r.stats.quarantined;
+    ++r.stats.by_category[static_cast<std::size_t>(c)];
+    r.quarantine.push(c, idx, std::move(detail), raw);
+  };
+  std::size_t eol = bytes.find('\n');
+  std::string_view header = bytes.substr(0, eol == std::string_view::npos ? bytes.size() : eol);
+  if (!header.empty() && header.back() == '\r') header.remove_suffix(1);
+  if (header != io::kTraceCsvHeader) {
+    ++r.stats.offered;
+    count(C::kContainer, 0, "csv: missing or malformed header", header);
+    r.container_ok = false;
+    r.container_error = "csv: missing or malformed header";
+    return r;
+  }
+  std::size_t pos = eol == std::string_view::npos ? bytes.size() : eol + 1;
+  double prev_ts = 0.0;
+  while (pos < bytes.size()) {
+    eol = bytes.find('\n', pos);
+    if (eol == std::string_view::npos) eol = bytes.size();
+    std::string_view row = bytes.substr(pos, eol - pos);
+    pos = eol + 1;
+    if (!row.empty() && row.back() == '\r') row.remove_suffix(1);
+    if (row.empty()) continue;
+    ++r.stats.offered;
+    const std::uint64_t idx = r.stats.offered - 1;
+    if (row.size() > cfg.limits.max_record_bytes) {
+      count(C::kOversized, idx, "csv: row exceeds max_record_bytes", row);
+      continue;
+    }
+    if (cfg.limits.max_records != 0 && r.stats.accepted >= cfg.limits.max_records) {
+      count(C::kBudget, idx, "csv: max_records budget exhausted", row);
+      continue;
+    }
+    std::array<std::string_view, 11> f;
+    std::size_t nfields = 0, start = 0;
+    bool too_many = false;
+    for (std::size_t i = 0; i <= row.size(); ++i) {
+      if (i == row.size() || row[i] == ',') {
+        if (nfields == f.size()) {
+          too_many = true;
+          break;
+        }
+        f[nfields++] = row.substr(start, i - start);
+        start = i + 1;
+      }
+    }
+    if (too_many) {
+      count(C::kBadField, idx, "csv: more than 11 fields", row);
+      continue;
+    }
+    if (nfields < f.size()) {
+      count(C::kTruncated, idx, "csv: " + std::to_string(nfields) + " of 11 fields", row);
+      continue;
+    }
+    traffic::Packet p;
+    std::uint8_t flags = 0, malicious = 0;
+    if (!oracle_double(f[0], p.ts)) {
+      count(C::kBadField, idx, "csv: ts is not a finite number", row);
+      continue;
+    }
+    if (!oracle_int(f[1], p.ft.src_ip) || !oracle_int(f[2], p.ft.dst_ip) ||
+        !oracle_int(f[3], p.ft.src_port) || !oracle_int(f[4], p.ft.dst_port) ||
+        !oracle_int(f[5], p.ft.proto) || !oracle_int(f[6], p.length) ||
+        !oracle_int(f[7], p.ttl) || !oracle_int(f[8], flags) ||
+        !oracle_int(f[9], malicious) || !oracle_int(f[10], p.flow_id)) {
+      count(C::kBadField, idx, "csv: numeric field failed strict parse or overflowed its width",
+            row);
+      continue;
+    }
+    if (p.ft.proto != traffic::kProtoTcp && p.ft.proto != traffic::kProtoUdp &&
+        p.ft.proto != traffic::kProtoIcmp) {
+      count(C::kUnsupported, idx,
+            "csv: proto " + std::to_string(unsigned{p.ft.proto}) + " not in {1,6,17}", row);
+      continue;
+    }
+    if (flags > 5) {
+      count(C::kRangeViolation, idx,
+            "csv: flags ordinal " + std::to_string(unsigned{flags}) + " > 5", row);
+      continue;
+    }
+    if (malicious > 1) {
+      count(C::kRangeViolation, idx, "csv: malicious must be 0/1", row);
+      continue;
+    }
+    p.flags = static_cast<traffic::TcpFlag>(flags);
+    p.malicious = malicious != 0;
+    double v = p.ts;
+    if (v < 0.0) {
+      if (!cfg.clamp_timestamps) {
+        count(C::kRangeViolation, idx, "csv: ts: negative timestamp in strict mode", row);
+        continue;
+      }
+      v = 0.0;
+    }
+    if (v < prev_ts) {
+      if (!cfg.clamp_timestamps) {
+        count(C::kRangeViolation, idx, "csv: ts: timestamp regression in strict mode", row);
+        continue;
+      }
+      v = prev_ts;
+    }
+    if (v != p.ts) {
+      p.ts = v;
+      ++r.stats.timestamps_clamped;
+    }
+    prev_ts = v;
+    ++r.stats.accepted;
+    r.trace.packets.push_back(p);
+  }
+  return r;
+}
+
+::testing::AssertionResult same_result(const io::IngestResult& a, const io::IngestResult& b) {
+  if (!(a.stats == b.stats)) return ::testing::AssertionFailure() << "stats differ";
+  if (a.container_ok != b.container_ok || a.container_error != b.container_error) {
+    return ::testing::AssertionFailure() << "container state differs";
+  }
+  if (a.trace.size() != b.trace.size()) {
+    return ::testing::AssertionFailure() << "trace size " << a.trace.size() << " vs "
+                                         << b.trace.size();
+  }
+  for (std::size_t i = 0; i < a.trace.size(); ++i) {
+    const traffic::Packet& x = a.trace.packets[i];
+    const traffic::Packet& y = b.trace.packets[i];
+    if (std::memcmp(&x.ts, &y.ts, sizeof(double)) != 0 || !(x.ft == y.ft) ||
+        x.length != y.length || x.ttl != y.ttl || x.flags != y.flags ||
+        x.malicious != y.malicious || x.flow_id != y.flow_id) {
+      return ::testing::AssertionFailure() << "packet " << i << " differs";
+    }
+  }
+  if (a.quarantine.size() != b.quarantine.size() ||
+      a.quarantine.evicted() != b.quarantine.evicted() ||
+      a.quarantine.capacity() != b.quarantine.capacity()) {
+    return ::testing::AssertionFailure() << "quarantine shape differs";
+  }
+  for (std::size_t i = 0; i < a.quarantine.size(); ++i) {
+    const io::IngestError& x = a.quarantine[i];
+    const io::IngestError& y = b.quarantine[i];
+    if (x.category != y.category || x.record_index != y.record_index ||
+        x.detail != y.detail || x.snippet != y.snippet) {
+      return ::testing::AssertionFailure()
+             << "quarantine entry " << i << " differs: '" << x.detail << "' @" << x.record_index
+             << " vs '" << y.detail << "' @" << y.record_index << " on row '" << x.snippet
+             << "'";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Field values at and across each integer width's edge, plus everything
+/// std::from_chars' whole-field rule rejects.
+const std::vector<std::string>& edge_tokens() {
+  static const std::vector<std::string> tokens = {
+      "0", "1", "5", "6", "17", "47", "255", "256", "65535", "65536", "4294967295",
+      "4294967296", "18446744073709551615", "18446744073709551616",
+      "99999999999999999999999", "007", "0000000000000000000000000001", "00000000000000256",
+      "+1", "-1", "-0", " 1", "1 ", "0x1", "0X1F", "", "1e3", "1.5", "inf", "-inf", "nan",
+      "NaN", "infinity", "1e400", "-1e-400", "0.25", "-0.5", "1.", ".5", "1,2", "\t1", "1\r",
+      "\xd9\xa1", "9z", "1:", "/1"};
+  return tokens;
+}
+
+std::vector<std::string> valid_fields(ml::Rng& rng, double ts) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", ts);
+  const auto u = [&](std::int64_t hi) { return std::to_string(rng.integer(0, hi)); };
+  static const char* kProtos[] = {"1", "6", "17"};
+  return {buf,     u(0xFFFFFFFF), u(0xFFFFFFFF), u(0xFFFF),    u(0xFFFF),     kProtos[rng.index(3)],
+          u(0xFFFF), u(0xFF),       u(5),         u(1),         u(0xFFFFFFFF)};
+}
+
+std::string join_row(const std::vector<std::string>& fields) {
+  std::string row;
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    if (i > 0) row.push_back(',');
+    row += fields[i];
+  }
+  return row;
+}
+
+/// A row that is valid, or damaged in one of the ways real feeds and the
+/// edge-token list damage it: swapped tokens, a field added or dropped, a
+/// stray byte, a CRLF ending.
+std::string random_row(ml::Rng& rng, double ts) {
+  std::vector<std::string> f = valid_fields(rng, ts);
+  const std::size_t kind = rng.index(8);
+  if (kind >= 3 && kind <= 5) {
+    const std::size_t swaps = 1 + rng.index(2);
+    for (std::size_t k = 0; k < swaps; ++k) {
+      f[rng.index(f.size())] = edge_tokens()[rng.index(edge_tokens().size())];
+    }
+  } else if (kind == 6) {
+    if (rng.bernoulli(0.5)) {
+      f.erase(f.begin() + static_cast<std::ptrdiff_t>(rng.index(f.size())));
+    } else {
+      f.insert(f.begin() + static_cast<std::ptrdiff_t>(rng.index(f.size() + 1)), "1");
+    }
+  }
+  std::string row = join_row(f);
+  if (kind == 7 && !row.empty()) {
+    static const char kBytes[] = ",.-+ex0 \r\"9";
+    row.insert(rng.index(row.size() + 1), 1, kBytes[rng.index(sizeof(kBytes) - 1)]);
+  }
+  if (rng.bernoulli(0.1)) row.push_back('\r');
+  return row + "\n";
+}
+
+}  // namespace
+
+TEST(IngestScanner, MatchesSplitParserOnRandomRows) {
+  ml::Rng rng(0x5CA11ull);
+  std::vector<io::TraceReaderConfig> cfgs(5);
+  cfgs[1].clamp_timestamps = false;
+  cfgs[2].limits.quarantine_capacity = 3;
+  cfgs[3].limits.max_records = 25;
+  cfgs[4].limits.max_record_bytes = 70;
+  std::size_t quarantined = 0, accepted = 0;
+  for (std::size_t batch = 0; batch < 150; ++batch) {
+    std::string csv = header_line();
+    double ts = 0.0;
+    for (std::size_t i = 0; i < 40; ++i) {
+      ts += rng.uniform(-0.01, 0.05);  // some regressions and negatives
+      csv += random_row(rng, ts);
+    }
+    for (const auto& cfg : cfgs) {
+      const io::IngestResult got = io::TraceReader(cfg).read_buffer(csv);
+      ASSERT_TRUE(same_result(got, oracle_read_csv(csv, cfg))) << "batch " << batch << "\n"
+                                                                << csv;
+      quarantined += got.stats.quarantined;
+      accepted += got.stats.accepted;
+    }
+  }
+  // The generator must exercise both outcomes, not just one.
+  EXPECT_GT(quarantined, 1000u);
+  EXPECT_GT(accepted, 1000u);
+}
+
+TEST(IngestScanner, MatchesSplitParserOnChaosMangledRows) {
+  const std::string clean = io::trace_to_csv(small_trace(30, 8, 0x6A05ull));
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    switchsim::FaultConfig faults;
+    faults.seed = seed;
+    faults.record_truncate_rate = 0.15;
+    faults.record_corrupt_rate = 0.25;
+    faults.batch_duplicate_rate = 0.1;
+    faults.batch_reorder_rate = 0.1;
+    io::ChaosStats cs;
+    const std::string mangled = io::mangle_csv(clean, faults, 8, cs);
+    ASSERT_GT(cs.truncated + cs.corrupted, 0u);
+    for (const bool clamp : {true, false}) {
+      io::TraceReaderConfig cfg;
+      cfg.clamp_timestamps = clamp;
+      EXPECT_TRUE(same_result(io::TraceReader(cfg).read_buffer(mangled),
+                              oracle_read_csv(mangled, cfg)))
+          << "seed " << seed << " clamp " << clamp;
+    }
+  }
+}
+
+TEST(IngestScanner, MatchesSplitParserAtWidthEdgesAndOnHandCases) {
+  ml::Rng rng(0xED6Eull);
+  std::string csv = header_line();
+  for (std::size_t col = 0; col < 11; ++col) {
+    for (const std::string& tok : edge_tokens()) {
+      std::vector<std::string> f = valid_fields(rng, 1.0 + static_cast<double>(csv.size()));
+      f[col] = tok;
+      csv += join_row(f) + (rng.bernoulli(0.5) ? "\r\n" : "\n");
+    }
+  }
+  std::vector<std::string> base = valid_fields(rng, 1e6);
+  csv += join_row(std::vector<std::string>(base.begin(), base.end() - 1)) + "\n";  // 10 fields
+  base.push_back("1");
+  csv += join_row(base) + "\n";  // 12 fields
+  csv += "\r\n,,,,,,,,,,\n,,,,,,,,,,,\n,\n";
+  const io::TraceReader reader;
+  const io::IngestResult got = reader.read_buffer(csv);
+  ASSERT_TRUE(same_result(got, oracle_read_csv(csv, {})));
+  EXPECT_GT(got.stats.accepted, 0u);
+  EXPECT_GT(got.stats.quarantined, 0u);
+
+  // The width edges themselves, one column each.
+  const auto accepts = [&](std::size_t col, const std::string& tok) {
+    std::vector<std::string> f = {"0.5", "1", "2", "3", "4", "6", "5", "6", "1", "0", "1"};
+    f[col] = tok;
+    return reader.read_buffer(header_line() + join_row(f) + "\n").stats.accepted == 1;
+  };
+  EXPECT_TRUE(accepts(1, "4294967295"));
+  EXPECT_FALSE(accepts(1, "4294967296"));
+  EXPECT_TRUE(accepts(10, "4294967295"));
+  EXPECT_FALSE(accepts(10, "4294967296"));
+  EXPECT_TRUE(accepts(3, "65535"));
+  EXPECT_FALSE(accepts(3, "65536"));
+  EXPECT_TRUE(accepts(7, "255"));
+  EXPECT_FALSE(accepts(7, "256"));
+  EXPECT_TRUE(accepts(6, "0000000000000000000000065535"));
+  EXPECT_FALSE(accepts(2, "+1"));
+  EXPECT_FALSE(accepts(2, "-0"));
+  EXPECT_FALSE(accepts(2, " 1"));
+  EXPECT_FALSE(accepts(2, "0x1"));
+  EXPECT_FALSE(accepts(2, ""));
+  EXPECT_FALSE(accepts(0, "inf"));
+  EXPECT_FALSE(accepts(0, "nan"));
+  EXPECT_TRUE(accepts(0, "1e-3"));
+}
+
+TEST(IngestScanner, ReusedResultEqualsFreshRead) {
+  io::TraceReaderConfig cfg;
+  cfg.limits.quarantine_capacity = 2;  // the damaged batch evicts too
+  const io::TraceReader reader(cfg);
+  const std::string damaged = header_line() + valid_row(0.5) + "0.1,1,2,3\n" + valid_row(0.25) +
+                              "zz,1,2,3,4,6,5,6,1,0,1\n" + "0.6,1,2,3,4,47,5,6,1,0,1\n" +
+                              valid_row(0.7);
+  const std::string headerless = "0.1,1,2,3,4,6,5,6,1,0,1\n";
+  const std::string clean = io::trace_to_csv(small_trace(6, 4, 0x2E05ull));
+
+  io::IngestResult reused;
+  reader.read_buffer(damaged, reused);
+  ASSERT_TRUE(same_result(reused, reader.read_buffer(damaged)));
+  ASSERT_EQ(reused.quarantine.evicted(), 1u);
+  ASSERT_EQ(reused.stats.timestamps_clamped, 1u);
+  reader.read_buffer(headerless, reused);
+  ASSERT_FALSE(reused.container_ok);
+  ASSERT_TRUE(same_result(reused, reader.read_buffer(headerless)));
+  reader.read_buffer(clean, reused);
+  EXPECT_TRUE(same_result(reused, reader.read_buffer(clean)));
+  EXPECT_TRUE(reused.container_ok);
+  // And the pcap path resets the same state.
+  std::ostringstream pcap;
+  traffic::write_pcap(pcap, small_trace(3, 2, 0x2E06ull));
+  reader.read_buffer(damaged, reused);
+  reader.read_buffer(pcap.str(), reused);
+  EXPECT_TRUE(same_result(reused, reader.read_buffer(pcap.str())));
 }
 
 // ---------------------------------------------------------------------------

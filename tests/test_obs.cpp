@@ -235,13 +235,84 @@ TEST_F(ObsReplayTest, PathCountersMatchSimStats) {
             static_cast<double>(pipe.controller().rules_installed()));
   EXPECT_EQ(snap.scalars.at("pipeline.leaked_packets"),
             static_cast<double>(st.faults.leaked_packets));
-  // Per-path latency histograms recorded one sample per packet.
+  // Per-path latency histograms are sampled: one packet in
+  // kTimingSampleEvery is timed, starting with the first.
   double timing_count = 0.0;
   for (const char* path : {"red", "brown", "blue", "orange", "purple", "green"}) {
     timing_count +=
         snap.scalars.at("timing.pipeline.process_ns." + std::string(path) + ".count");
   }
-  EXPECT_EQ(timing_count, static_cast<double>(st.packets));
+  const std::uint64_t every = switchsim::Pipeline::kTimingSampleEvery;
+  EXPECT_EQ(timing_count, static_cast<double>((st.packets + every - 1) / every));
+}
+
+TEST_F(ObsReplayTest, TimingSamplesTheFirstPacketThenEveryNth) {
+  IGUARD_SKIP_IF_OBS_OFF();
+  const auto trace = make_trace(40, 8);
+  const auto dm = model();
+  Registry reg;
+  switchsim::PipelineConfig cfg;
+  cfg.packet_threshold_n = 4;
+  cfg.metrics = &reg;
+  switchsim::Pipeline pipe(cfg, dm);
+  const auto timed = [&] {
+    double n = 0.0;
+    for (const char* path : {"red", "brown", "blue", "orange", "purple", "green"}) {
+      n += reg.snapshot().scalars.at("timing.pipeline.process_ns." + std::string(path) +
+                                     ".count");
+    }
+    return n;
+  };
+  const std::uint64_t every = switchsim::Pipeline::kTimingSampleEvery;
+  ASSERT_GT(trace.size(), every + 1);
+  switchsim::SimStats st;
+  pipe.process(trace.packets[0], st);
+  EXPECT_EQ(timed(), 1.0);
+  for (std::size_t i = 1; i < every; ++i) pipe.process(trace.packets[i], st);
+  EXPECT_EQ(timed(), 1.0);
+  pipe.process(trace.packets[every], st);
+  EXPECT_EQ(timed(), 2.0);
+}
+
+TEST_F(ObsReplayTest, PipelineWithoutRegistryRecordsNothing) {
+  const auto trace = make_trace(40, 8);
+  const auto dm = model();
+  switchsim::PipelineConfig cfg;
+  cfg.packet_threshold_n = 4;
+  const auto plain = switchsim::Pipeline(cfg, dm).run(trace);
+
+  // A disabled registry hands the pipeline inactive handles: the sampled
+  // timers, path counters and gauges all stay silent.
+  Registry off(obs::ObsConfig{false});
+  cfg.metrics = &off;
+  const auto silent = switchsim::Pipeline(cfg, dm).run(trace);
+  EXPECT_TRUE(off.snapshot().scalars.empty());
+  EXPECT_TRUE(silent == plain);
+
+  // Instruments observe; they never steer a verdict.
+  Registry on;
+  cfg.metrics = &on;
+  EXPECT_TRUE(switchsim::Pipeline(cfg, dm).run(trace) == plain);
+}
+
+TEST(ObsScopeTimer, InactiveTimerStaysInactiveWhenRetargeted) {
+  IGUARD_SKIP_IF_OBS_OFF();
+  Registry reg;
+  obs::Histogram h = reg.histogram("timing.t", obs::default_latency_bounds_ns());
+  {
+    obs::ScopeTimerNs untimed{obs::Histogram{}};
+    untimed.set(h);  // no start time was captured: nothing to record
+  }
+  EXPECT_EQ(h.count(), 0u);
+  {
+    obs::ScopeTimerNs timed(h);
+  }
+  EXPECT_EQ(h.count(), 1u);
+  {
+    obs::ScopeTimerNs cancelled(h);
+    cancelled.set(obs::Histogram{});
+  }
+  EXPECT_EQ(h.count(), 1u);
 }
 
 TEST_F(ObsReplayTest, SimStatsInvariantsAcrossConfigMatrix) {
