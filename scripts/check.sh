@@ -45,13 +45,17 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 GENERATOR_ARGS=()
 command -v ninja >/dev/null 2>&1 && GENERATOR_ARGS=(-G Ninja)
+# Every check build treats a warning as an error: the Release, plain, UBSan,
+# ASan and TSan builds are all warning-free, and a new warning should fail
+# here. The tier-1 build (plain `cmake -B build`) stays without -Werror.
+WERROR_ARGS=(-DCMAKE_CXX_FLAGS=-Werror)
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
 run_suite() {
   local name="$1" sanitize="$2"
   local dir="build-check-${name}"
   echo "=== ${name} (IGUARD_SANITIZE='${sanitize}') ==="
-  cmake -B "${dir}" -S . "${GENERATOR_ARGS[@]}" -DIGUARD_SANITIZE="${sanitize}" \
+  cmake -B "${dir}" -S . "${GENERATOR_ARGS[@]}" "${WERROR_ARGS[@]}" -DIGUARD_SANITIZE="${sanitize}" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   cmake --build "${dir}" -j "${JOBS}"
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}"
@@ -71,7 +75,7 @@ bench_smoke() {
   local dir="build-check-bench"
   echo "=== bench-smoke (Release) ==="
   warn_if_single_core
-  cmake -B "${dir}" -S . "${GENERATOR_ARGS[@]}" \
+  cmake -B "${dir}" -S . "${GENERATOR_ARGS[@]}" "${WERROR_ARGS[@]}" \
     -DCMAKE_BUILD_TYPE=Release >/dev/null
   cmake --build "${dir}" -j "${JOBS}" --target bench_throughput
   local out="${dir}/BENCH_pipeline_smoke.json"
@@ -157,7 +161,7 @@ EOF
 
 release_build() {
   local dir="build-check-bench"
-  cmake -B "${dir}" -S . "${GENERATOR_ARGS[@]}" \
+  cmake -B "${dir}" -S . "${GENERATOR_ARGS[@]}" "${WERROR_ARGS[@]}" \
     -DCMAKE_BUILD_TYPE=Release >/dev/null
   cmake --build "${dir}" -j "${JOBS}" --target "$@"
 }
@@ -359,7 +363,7 @@ fuzz_smoke() {
   for san in address undefined; do
     local dir="build-check-fuzz-${san}"
     echo "--- fuzz targets under ${san} sanitizer ---"
-    cmake -B "${dir}" -S . "${GENERATOR_ARGS[@]}" -DIGUARD_SANITIZE="${san}" \
+    cmake -B "${dir}" -S . "${GENERATOR_ARGS[@]}" "${WERROR_ARGS[@]}" -DIGUARD_SANITIZE="${san}" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
     cmake --build "${dir}" -j "${JOBS}" --target fuzz_trace_reader fuzz_digest_decode
     "${dir}/fuzz/fuzz_trace_reader" --iters 2048 --seed 7 fuzz/corpus/trace_reader
@@ -421,7 +425,7 @@ print("daemon-smoke OK: deterministic exposition, alert stream, clean SIGTERM dr
 EOF
   # The same serve-and-drain loop must be clean under ASan.
   local asan_dir="build-check-daemon-asan"
-  cmake -B "${asan_dir}" -S . "${GENERATOR_ARGS[@]}" -DIGUARD_SANITIZE=address \
+  cmake -B "${asan_dir}" -S . "${GENERATOR_ARGS[@]}" "${WERROR_ARGS[@]}" -DIGUARD_SANITIZE=address \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   cmake --build "${asan_dir}" -j "${JOBS}" --target iguardd
   "${asan_dir}/src/daemon/iguardd" --trace "${work}/trace.csv" --loop 2 --shards 2 \

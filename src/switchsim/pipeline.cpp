@@ -231,7 +231,7 @@ int Pipeline::process_hinted(const traffic::Packet& p, SimStats& stats, int pl_h
       if (resident.label >= 0) {
         // Resident flow already classified: reclaim the slot for this flow.
         store_.clear_slot(resident);
-        resident.update(p, store_.signature(p.ft));
+        resident.update(p, acc.sig);
         ++stats.green_mirrors;  // loopback mirror re-initialises flow ID
       }
       verdict = pl_verdict();
@@ -261,10 +261,10 @@ int Pipeline::process_hinted(const traffic::Packet& p, SimStats& stats, int pl_h
           count(stats, Path::kBlue);
           path = Path::kBlue;
           finalize_flow(p, flow_key, st, stats);
-          st.update(p, store_.signature(p.ft));
+          st.update(p, acc.sig);
           verdict = pl_verdict();
         } else {
-          st.update(p, store_.signature(p.ft));
+          st.update(p, acc.sig);
           if (cfg_.packet_threshold_n > 0 && st.pkt_count >= cfg_.packet_threshold_n) {
             // --- blue (n-th packet) ----------------------------------------
             count(stats, Path::kBlue);

@@ -26,13 +26,13 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "core/whitelist.hpp"
 #include "obs/metrics.hpp"
 #include "rules/quantize.hpp"
 #include "switchsim/faults.hpp"
+#include "switchsim/flat_table.hpp"
 #include "switchsim/registers.hpp"
 #include "switchsim/swap_loop.hpp"
 #include "switchsim/tables.hpp"
@@ -250,7 +250,7 @@ class Pipeline {
   bool hints_stale_ = false;
   /// Bi-hash keys of flows the data plane has classified malicious, with
   /// which leaked packets (admitted after classification) are detected.
-  std::unordered_set<std::uint64_t> malicious_classified_;
+  FlatKeySet malicious_classified_;
   Obs obs_;
   std::size_t slots_claimed_ = 0;      // incremental flow-store occupancy
   std::size_t last_evictions_ = 0;     // blacklist eviction delta tracking

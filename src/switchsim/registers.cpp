@@ -25,6 +25,7 @@ FlowStore::Access FlowStore::access(const traffic::FiveTuple& ft) {
   IntFlowState& s2 = table2_[static_cast<std::size_t>(traffic::bihash(ft, seed2_)) % table2_.size()];
 
   Access a;
+  a.sig = sig;
   if (!s1.empty() && s1.sig == sig) {
     a.state = &s1;
     a.found = true;

@@ -24,6 +24,7 @@ class FlowStore {
     bool found = false;             // slot already held this flow
     bool inserted = false;          // empty slot claimed for this flow
     bool collision = false;         // both candidate slots occupied by others
+    std::uint64_t sig = 0;          // signature(ft), for IntFlowState::update
   };
 
   /// Look up (or claim a slot for) the flow with the given 5-tuple.

@@ -3,14 +3,13 @@
 namespace iguard::switchsim {
 
 bool BlacklistTable::contains_key(std::uint64_t k) {
-  const auto it = entries_.find(k);
-  if (it == entries_.end()) return false;
-  if (policy_ == EvictionPolicy::kLru) touch(it->first);
+  if (!entries_.contains(k)) return false;
+  if (policy_ == EvictionPolicy::kLru) touch(k);
   return true;
 }
 
 void BlacklistTable::touch(std::uint64_t k) {
-  auto& stamp = entries_[k];
+  std::uint64_t& stamp = *entries_.find(k);
   by_stamp_.erase(stamp);
   stamp = ++clock_;
   by_stamp_.emplace(stamp, k);
@@ -40,8 +39,8 @@ bool BlacklistTable::install(const traffic::FiveTuple& ft) {
     }
   }
   const std::uint64_t stamp = ++clock_;
-  entries_.emplace(k, stamp);
-  // The install-order deque exists only for FIFO eviction; the stamp index
+  entries_.insert(k, stamp);
+  // The install-order ring exists only for FIFO eviction; the stamp index
   // only for LRU. Maintaining the idle structure would grow it one entry
   // per install for the lifetime of the table without ever draining it.
   if (policy_ == EvictionPolicy::kFifo) {
@@ -53,10 +52,11 @@ bool BlacklistTable::install(const traffic::FiveTuple& ft) {
 }
 
 bool BlacklistTable::erase(const traffic::FiveTuple& ft) {
-  const auto it = entries_.find(key(ft));
-  if (it == entries_.end()) return false;
-  if (policy_ == EvictionPolicy::kLru) by_stamp_.erase(it->second);
-  entries_.erase(it);
+  const std::uint64_t k = key(ft);
+  const std::uint64_t* stamp = entries_.find(k);
+  if (stamp == nullptr) return false;
+  if (policy_ == EvictionPolicy::kLru) by_stamp_.erase(*stamp);
+  entries_.erase(k);
   return true;
 }
 

@@ -2,16 +2,17 @@
 // digests from the data plane whenever a flow's class is determined (13 B
 // five-tuple + 1-bit label, App. B.2), installs a blacklist rule for
 // malicious flows, and evicts old rules FIFO or LRU when the table is full
-// (§3.3.2). LRU eviction is O(log n) via a stamp index — a sustained-DDoS
-// blacklist churns one eviction per install, exactly the regime a per-install
-// linear scan cannot afford.
+// (§3.3.2). A sustained-DDoS blacklist churns one eviction per install, so
+// the entries live in a flat open-addressing table (flat_table.hpp) and FIFO
+// order in a ring — FIFO churn allocates nothing — and LRU eviction is
+// O(log n) via a stamp index, where a per-install linear scan could not
+// keep up.
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <map>
-#include <unordered_map>
 
+#include "switchsim/flat_table.hpp"
 #include "trafficgen/packet.hpp"
 
 namespace iguard::switchsim {
@@ -60,9 +61,9 @@ class BlacklistTable {
 
   std::size_t capacity_;
   EvictionPolicy policy_;
-  std::unordered_map<std::uint64_t, std::uint64_t> entries_;  // key -> stamp
-  std::deque<std::uint64_t> order_;                           // FIFO install order
-  std::map<std::uint64_t, std::uint64_t> by_stamp_;           // LRU: stamp -> key
+  FlatKeyTable<std::uint64_t> entries_;              // key -> stamp
+  KeyFifo order_;                                    // FIFO install order
+  std::map<std::uint64_t, std::uint64_t> by_stamp_;  // LRU: stamp -> key
   std::uint64_t clock_ = 0;
   std::size_t evictions_ = 0;
 };

@@ -357,6 +357,43 @@ TEST_F(AllocPathTest, DaemonDrainIsAllocationFreeOnceWarm) {
   std::remove(path.c_str());
 }
 
+TEST_F(AllocPathTest, FifoBlacklistChurnAtCapacityAllocatesNothing) {
+  if (!harness::alloc_counting_active()) {
+    GTEST_SKIP() << "sanitizer build owns the allocator";
+  }
+  // A blacklist at capacity under a sustained attack evicts on every
+  // install. Once its slot array and FIFO ring have grown to the working
+  // set, FIFO churn must not touch the heap. LRU keeps its ordered stamp
+  // index, whose map nodes (one per install, one per hit) are reported,
+  // not forbidden.
+  constexpr std::size_t kCapacity = 256;
+  constexpr std::uint32_t kWindow = 5000;
+  const auto flow = [](std::uint32_t i) {
+    return traffic::FiveTuple{0x0B000000u + i, 0x0A0000FFu, 1234, 80, traffic::kProtoTcp};
+  };
+  for (const EvictionPolicy policy : {EvictionPolicy::kFifo, EvictionPolicy::kLru}) {
+    BlacklistTable bl(kCapacity, policy);
+    std::uint32_t next = 0;
+    for (; next < 4 * kCapacity; ++next) bl.install(flow(next));  // warm-up
+    const std::size_t evictions = bl.evictions();
+    const std::size_t before = harness::alloc_count();
+    for (std::uint32_t i = 0; i < kWindow; ++i, ++next) {
+      bl.install(flow(next));
+      bl.contains(flow(next));
+    }
+    const std::size_t allocs = harness::alloc_count() - before;
+    ASSERT_EQ(bl.evictions() - evictions, kWindow);  // every install evicted
+    ASSERT_EQ(bl.size(), kCapacity);
+    if (policy == EvictionPolicy::kFifo) {
+      EXPECT_EQ(allocs, 0u) << "FIFO blacklist churn allocated " << allocs << " times";
+    } else {
+      ::testing::Test::RecordProperty("lru_allocs_per_install",
+                                      std::to_string(static_cast<double>(allocs) / kWindow));
+      EXPECT_LE(allocs, 2u * kWindow) << "LRU stamp index: one node per install and touch";
+    }
+  }
+}
+
 TEST_F(AllocPathTest, RecordLabelsOnIsTheOnlySteadyStateAllocator) {
   if (!harness::alloc_counting_active()) {
     GTEST_SKIP() << "sanitizer build owns the allocator";

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/whitelist.hpp"
@@ -238,6 +241,186 @@ TEST(CompiledVoteWhitelist, BatchVoteBitExactWithScalar) {
       }
     }
   }
+}
+
+// --- interval index edges ------------------------------------------------------
+// The bucketed interval lookup must return exactly the upper_bound interval
+// at every key where an off-by-one could hide: the domain ends, every
+// interval bound and its neighbours, and the first and last key of every
+// bucket. Buckets are defined from the highest bound `top` and the interval
+// count n: shift = max(0, bit_width(top) - min(10, bit_width(n))), so at
+// most 1024 buckets, and about two per interval, span [0, top].
+
+constexpr std::uint32_t kKeyMax = std::numeric_limits<std::uint32_t>::max();
+
+/// Keys worth probing on field f of `rules`.
+std::vector<std::uint32_t> edge_values(const std::vector<RangeRule>& rules, std::size_t f) {
+  std::vector<std::uint64_t> bounds{0};
+  for (const auto& r : rules) {
+    if (r.fields[f].empty()) continue;
+    bounds.push_back(r.fields[f].lo);
+    bounds.push_back(static_cast<std::uint64_t>(r.fields[f].hi) + 1);
+  }
+  std::sort(bounds.begin(), bounds.end());
+  bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+  if (bounds.back() > kKeyMax) bounds.pop_back();
+  std::vector<std::uint64_t> vals{0, kKeyMax};
+  for (const std::uint64_t b : bounds) vals.insert(vals.end(), {b == 0 ? 0 : b - 1, b, b + 1});
+  const std::uint64_t top = bounds.back();
+  const int bits = std::min(10, static_cast<int>(std::bit_width(bounds.size())));
+  const int shift = std::max(0, static_cast<int>(std::bit_width(top)) - bits);
+  for (std::uint64_t b = 0; b <= (top >> shift) + 1; ++b) {
+    vals.push_back(b << shift);                      // first key of bucket b
+    vals.push_back(((b + 1) << shift) - 1);          // last key of bucket b
+  }
+  std::vector<std::uint32_t> out;
+  for (const std::uint64_t v : vals) {
+    if (v <= kKeyMax) out.push_back(static_cast<std::uint32_t>(v));
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+/// Linear RuleTable, scalar compiled lookups and the batched kernels agree
+/// on every edge value of every field, each probed from a few base keys
+/// (rule corners, so the other fields sit inside a rule and the AND runs).
+void expect_engines_agree_on_edges(const std::vector<RangeRule>& rules, std::size_t width) {
+  const RuleTable lin(rules);
+  const CompiledRuleTable comp(rules);
+  std::vector<std::vector<std::uint32_t>> bases{std::vector<std::uint32_t>(width, 0),
+                                                std::vector<std::uint32_t>(width, kKeyMax)};
+  for (const std::size_t ri : {std::size_t{0}, rules.size() / 2, rules.size() - 1}) {
+    if (ri >= rules.size()) continue;
+    std::vector<std::uint32_t> lo(width), hi(width);
+    for (std::size_t f = 0; f < width; ++f) {
+      lo[f] = rules[ri].fields[f].lo;
+      hi[f] = rules[ri].fields[f].hi;
+    }
+    bases.push_back(lo);
+    bases.push_back(hi);
+  }
+  std::vector<std::uint32_t> keys;
+  for (std::size_t f = 0; f < width; ++f) {
+    const auto vals = edge_values(rules, f);
+    for (const auto& base : bases) {
+      for (const std::uint32_t v : vals) {
+        keys.insert(keys.end(), base.begin(), base.end());
+        keys[keys.size() - width + f] = v;
+      }
+    }
+  }
+  const std::size_t n = width == 0 ? 1 : keys.size() / width;
+  std::vector<int> idx(n, -7), cls(n, -7);
+  std::vector<std::uint8_t> any(n, 7);
+  comp.match_index_batch(keys, width, idx);
+  comp.matches_any_batch(keys, width, any);
+  comp.classify_batch(keys, width, cls);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::span<const std::uint32_t> key(keys.data() + i * width, width);
+    expect_equivalent(lin, comp, key);
+    const int want = linear_match_index(lin, key);
+    ASSERT_EQ(idx[i], want) << "batched key " << i;
+    ASSERT_EQ(any[i], want >= 0 ? 1 : 0) << "batched key " << i;
+    ASSERT_EQ(cls[i], lin.classify(key)) << "batched key " << i;
+  }
+}
+
+/// Random rule over the full 32-bit domain: wide ranges (so keys match on
+/// several fields and the AND decides), points, and some empty ranges.
+RangeRule random_wide_rule(ml::Rng& rng, std::size_t width) {
+  RangeRule r;
+  r.fields.resize(width);
+  for (auto& f : r.fields) {
+    const auto a = static_cast<std::uint32_t>(rng.integer(0, kKeyMax));
+    switch (rng.index(8)) {
+      case 0:
+        f = {a, a};
+        break;
+      case 1:
+        f = {a | 1u, a & ~1u};  // empty
+        break;
+      case 2:
+        f = {a, kKeyMax};
+        break;
+      default: {
+        const auto len = static_cast<std::uint32_t>(rng.integer(0, kKeyMax / 2));
+        f = {a, a > kKeyMax - len ? kKeyMax : a + len};
+      }
+    }
+  }
+  r.label = static_cast<int>(rng.index(2));
+  r.priority = static_cast<int>(rng.index(7));
+  return r;
+}
+
+TEST(CompiledRuleTable, IntervalIndexEdgesAcrossWordAndBlockBoundaries) {
+  // 64 rules fill one mask word, 512 one cache-line block. Overlapping
+  // random rules, then disjoint ones, where every rule — the last word's
+  // and the last block's included — is the only match for its own keys.
+  ml::Rng rng(0xED6E5ull);
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 511u, 512u, 513u}) {
+    SCOPED_TRACE(n);
+    std::vector<RangeRule> rules;
+    for (std::size_t i = 0; i < n; ++i) rules.push_back(random_wide_rule(rng, 2));
+    expect_engines_agree_on_edges(rules, 2);
+    std::vector<RangeRule> disjoint;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      disjoint.push_back({{{i * 1000, i * 1000 + 999}, {0, kKeyMax - i}}, static_cast<int>(i % 2),
+                          static_cast<int>(i)});
+    }
+    expect_engines_agree_on_edges(disjoint, 2);
+  }
+}
+
+TEST(CompiledRuleTable, IntervalIndexEdgesAtTheShiftLimit) {
+  // Highest bounds around 2^31 and 2^32 move the bucket shift between 21
+  // and 22; hi = 2^32-1 drops the out-of-domain breakpoint entirely.
+  for (const std::uint32_t hi : {kKeyMax, kKeyMax - 1, 0x80000000u, 0x7FFFFFFFu, 0x7FFFFFFEu}) {
+    SCOPED_TRACE(hi);
+    const std::vector<RangeRule> rules{
+        {{{hi - 5, hi}, {0, kKeyMax}}, 0, 0},
+        {{{0, hi / 3}, {7, 7}}, 1, 1},
+        {{{hi / 3 + 1, hi - 6}, {0, 100}}, 0, 2},
+    };
+    expect_engines_agree_on_edges(rules, 2);
+  }
+}
+
+TEST(CompiledRuleTable, IntervalIndexEdgesForClusteredBounds) {
+  // Dozens of bounds inside the first bucket of a field whose top bound is
+  // near 2^32: the lookup must leave its short scan for a search and still
+  // land on the right interval.
+  std::vector<RangeRule> rules{{{{kKeyMax - 9, kKeyMax - 2}, {0, kKeyMax}}, 0, 0}};
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    rules.push_back({{{3 * i, 3 * i + 1}, {i, 1000}}, static_cast<int>(i % 2),
+                     static_cast<int>(i + 1)});
+  }
+  expect_engines_agree_on_edges(rules, 2);
+}
+
+TEST(CompiledRuleTable, IntervalIndexEdgesForDegenerateFields) {
+  // Field 0 is one interval (every rule spans the domain), field 1 has only
+  // empty ranges on some rules, field 2 is a single point.
+  const std::vector<RangeRule> rules{
+      {{{0, kKeyMax}, {5, 4}, {9, 9}}, 0, 0},
+      {{{0, kKeyMax}, {0, 10}, {9, 9}}, 1, 1},
+      {{{0, kKeyMax}, {11, 2}, {9, 9}}, 0, 2},
+  };
+  expect_engines_agree_on_edges(rules, 3);
+  // Every range empty: the whole field is one uncovered interval.
+  const std::vector<RangeRule> none{{{{3, 2}}, 0, 0}, {{{kKeyMax, 0}}, 1, 1}};
+  expect_engines_agree_on_edges(none, 1);
+  // Width 0: the empty conjunction matches the empty key.
+  expect_engines_agree_on_edges({{{}, 1, 0}}, 0);
+}
+
+TEST(CompiledRuleTable, IntervalIndexEdgesAboveMaxBatchWidth) {
+  ml::Rng rng(0x3D6E5ull);
+  const std::size_t wide = CompiledRuleTable::kMaxBatchWidth + 2;
+  std::vector<RangeRule> rules;
+  for (std::size_t i = 0; i < 70; ++i) rules.push_back(random_wide_rule(rng, wide));
+  expect_engines_agree_on_edges(rules, wide);
 }
 
 TEST(CompiledRuleTable, EmptyTableMatchesNothing) {
